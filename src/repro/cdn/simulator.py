@@ -79,7 +79,7 @@ from repro.workload.generator import Request
 from repro.workload.profiles import SiteProfile
 
 #: Environment variable supplying the default worker count for
-#: :meth:`CdnSimulator.run_batches` (mirrors ``REPRO_DTW_WORKERS``).
+#: :meth:`CdnSimulator.run_batches`.
 WORKERS_ENV = "REPRO_SIM_WORKERS"
 
 #: Environment variable supplying the default per-shard dispatch window
@@ -124,17 +124,6 @@ def sized_simulation_config(catalogs: Iterable, seed: int) -> "SimulationConfig"
     catalog_bytes = sum(catalog.total_bytes() for catalog in catalogs)
     capacity = max(MIN_CACHE_CAPACITY_BYTES, int(DEFAULT_CACHE_CATALOG_FRACTION * catalog_bytes))
     return SimulationConfig(seed=seed + 1, cache_capacity_bytes=capacity)
-
-
-def _flatten_requests(
-    requests: Iterable[Request] | Iterable[list[Request]],
-) -> Iterator[Request]:
-    """Accept a flat request stream or a stream of request lists."""
-    for item in requests:
-        if isinstance(item, list):
-            yield from item
-        else:
-            yield item
 
 
 @dataclass

@@ -24,15 +24,7 @@ from repro.core.clustering import TrendClusteringResult, cluster_popularity_tren
 from repro.core.comparison import ComparisonResult, compare_to_baseline, render_comparison
 from repro.core.content import content_age_survival, popularity_distribution, size_cdf
 from repro.core.dataset import ObjectStats, TraceDataset
-from repro.core.dtw import (
-    DtwStats,
-    dtw_distance,
-    dtw_distance_batch,
-    dtw_nearest_neighbor,
-    lb_keogh,
-    lb_kim,
-    pairwise_dtw,
-)
+from repro.core.dtw import DtwStats, dtw_distance, pairwise_dtw
 from repro.core.hierarchy import AgglomerativeClustering, Dendrogram
 from repro.core.passes import DEFAULT_CHUNK_ROWS, AnalysisPass, run_passes
 from repro.core.report import Study, StudyReport
@@ -68,13 +60,9 @@ __all__ = [
     "content_composition",
     "device_composition",
     "dtw_distance",
-    "dtw_distance_batch",
-    "dtw_nearest_neighbor",
     "hit_ratio_analysis",
     "hourly_volume",
     "interarrival_times",
-    "lb_keogh",
-    "lb_kim",
     "pairwise_dtw",
     "popularity_distribution",
     "render_comparison",

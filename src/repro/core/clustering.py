@@ -52,8 +52,8 @@ class TrendClusteringResult:
     series: list[np.ndarray]
     dendrogram: Dendrogram
     clusters: list[TrendCluster] = field(default_factory=list)
-    #: How the pairwise DTW matrix was computed (pairs pruned/abandoned/full
-    #: DP and wall time) — see :class:`repro.core.dtw.DtwStats`.
+    #: How the pairwise DTW matrix was computed (pairs, wall time, kernel
+    #: tier) — see :class:`repro.core.dtw.DtwStats`.
     dtw_stats: DtwStats | None = None
 
     def fractions(self) -> dict[TrendClass, float]:
@@ -142,17 +142,6 @@ def classify_trend(series: np.ndarray) -> TrendClass:
     return TrendClass.OUTLIER
 
 
-def _daily_autocorrelation(values: np.ndarray, lag: int = 24) -> float:
-    """Autocorrelation of the series at a 24-hour lag (0 when undefined)."""
-    if values.size <= lag:
-        return 0.0
-    x = values - values.mean()
-    denom = float((x**2).sum())
-    if denom == 0:
-        return 0.0
-    return float((x[:-lag] * x[lag:]).sum() / denom)
-
-
 def _resample(values: np.ndarray, factor: int) -> np.ndarray:
     """Sum consecutive groups of ``factor`` hours (tail zero-padded)."""
     if factor <= 1:
@@ -176,10 +165,7 @@ def cluster_popularity_trends(
     resample_hours: int = 2,
     selection: str = "random",
     selection_seed: int = 0,
-    parallel: bool = False,
-    dtw_abandon_beyond_k: int | None = None,
     dtw_kernel: str | None = None,
-    max_workers: int | None = None,
 ) -> TrendClusteringResult:
     """Run the full Fig. 8-10 pipeline for one (site, category).
 
@@ -196,15 +182,11 @@ def cluster_popularity_trends(
     qualifying objects (default; keeps trend shares representative) and the
     ``"top"`` most-requested objects.
 
-    ``parallel``/``max_workers``/``dtw_kernel`` are forwarded to
-    :func:`repro.core.dtw.pairwise_dtw`; the matrix (and therefore the
-    clustering) is bit-identical across workers and kernel tiers, and the
-    :class:`DtwStats` describing how the matrix was computed (including
-    which kernel tier ran) land on the result's ``dtw_stats``.
-    ``dtw_abandon_beyond_k`` turns on threshold seeding in the pairwise
-    matrix; it preserves each row's k-nearest-neighbour structure exactly
-    but censors far-away distances to lower bounds, so only pass it when
-    the downstream linkage tolerates that (medoid assignment does).
+    ``dtw_kernel`` is forwarded to :func:`repro.core.dtw.pairwise_dtw`;
+    the matrix (and therefore the clustering) is bit-identical across
+    kernel tiers, and the :class:`DtwStats` describing how the matrix was
+    computed (including which kernel tier ran) land on the result's
+    ``dtw_stats``.
     """
     if selection == "top":
         objects = dataset.top_objects(site, category, limit=max_objects, min_requests=min_requests)
@@ -224,15 +206,7 @@ def cluster_popularity_trends(
     dtw_series = [_resample(s, resample_hours) for s in series]
     window = max(1, dtw_window // max(1, resample_hours))
 
-    distances, dtw_stats = pairwise_dtw(
-        dtw_series,
-        window=window,
-        parallel=parallel,
-        max_workers=max_workers,
-        return_stats=True,
-        abandon_beyond_k=dtw_abandon_beyond_k,
-        kernel=dtw_kernel,
-    )
+    distances, dtw_stats = pairwise_dtw(dtw_series, window=window, return_stats=True, kernel=dtw_kernel)
     dendrogram = AgglomerativeClustering(linkage=linkage).fit(distances)
     labels = dendrogram.cut(min(n_clusters, len(objects)))
 

@@ -1,28 +1,21 @@
-"""Compiled kernel tiers for the DTW fast path.
+"""The compiled C kernel tier for :mod:`repro.core.dtw`.
 
-:mod:`repro.core.dtw` computes the same banded DP three ways, picked at
-runtime from fastest available to always-available:
+:mod:`repro.core.dtw` computes the same banded DP on one of two tiers:
 
-1. **numba** — an ``@njit``-compiled scalar kernel (no ``fastmath``, so the
-   operation order — and therefore every IEEE-754 rounding step — matches
-   the reference kernels exactly).  Used when the optional ``numba``
-   dependency (``pip install repro[fast]``) imports cleanly.
-2. **c** — a small C kernel compiled on first use with the system C
+1. **c** — a small C kernel compiled on first use with the system C
    compiler (``cc``/``gcc``/``clang``, no third-party packages needed) and
    loaded through :mod:`ctypes`.  The shared object is cached on disk keyed
-   by a digest of the C source, so the compile happens once per machine,
-   and worker processes spawned by ``pairwise_dtw(parallel=True)`` reuse
-   the cached build instead of recompiling.
-3. **numpy** — no compiled kernel; :mod:`repro.core.dtw` falls back to its
-   pure-numpy batched kernel and pure-Python scalar kernel.
+   by a digest of the C source, so the compile happens once per machine.
+2. **numpy** — no compiled kernel; :mod:`repro.core.dtw` falls back to its
+   batched numpy kernel and pure-Python scalar kernel.
 
-All three tiers apply ``abs(a_i - b_j) + min(up, diag, left)`` in the same
-order, so distances are **bit-identical** across tiers; the property tests
-in ``tests/core/test_dtw_fastpath.py`` pin this down.
+Both tiers apply ``abs(a_i - b_j) + min(up, diag, left)`` in the same
+order, so distances are **bit-identical** across tiers; the tests in
+``tests/core/test_dtw_fastpath.py`` pin this down.
 
 Selection is controlled by the ``REPRO_DTW_KERNEL`` environment variable:
-``auto`` (default: numba, then c, then numpy), or a forced ``numba`` /
-``c`` / ``numpy``.  Forcing a tier that is unavailable raises
+``auto`` (default: c when it builds, else numpy), or a forced ``c`` /
+``numpy``.  Forcing a tier that is unavailable raises
 :class:`~repro.errors.ConfigError` — a forced choice should fail loudly,
 while ``auto`` degrades silently.  ``REPRO_DTW_BUILD_DIR`` overrides where
 the C tier caches its shared object (default: a per-user directory under
@@ -60,22 +53,21 @@ KERNEL_ENV = "REPRO_DTW_KERNEL"
 #: Environment variable overriding the C tier's build cache directory.
 BUILD_DIR_ENV = "REPRO_DTW_BUILD_DIR"
 
-#: Valid values of :data:`KERNEL_ENV`.
-KERNEL_CHOICES = ("auto", "numba", "c", "numpy")
+#: Valid values of :data:`KERNEL_ENV` (and of the ``dtw_kernel`` knob).
+KERNEL_CHOICES = ("auto", "c", "numpy")
 
-# The C kernel.  ``repro_dtw_one`` is the scalar banded DP with in-loop
-# early abandonment (``abandon < 0`` disables it); ``repro_dtw_pairs``
+# The C kernel.  ``dtw_one`` is the scalar banded DP; ``repro_dtw_pairs``
 # sweeps a chunk of (row, col) index pairs over a flattened series arena so
-# one foreign call amortises the FFI overhead across thousands of DPs.
-# The inner loop mirrors the Python reference kernel operation for
-# operation; no ``-ffast-math`` is ever passed, so results stay
-# bit-identical.
+# one foreign call amortises the FFI overhead across thousands of DPs,
+# widening the band per pair to at least |n - m|.  The inner loop mirrors
+# the Python reference kernel operation for operation; no ``-ffast-math``
+# is ever passed, so results stay bit-identical.
 _C_SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
 
-double repro_dtw_one(const double *a, int64_t n, const double *b, int64_t m,
-                     int64_t band, double abandon, double *prev, double *curr) {
+static double dtw_one(const double *a, int64_t n, const double *b, int64_t m,
+                      int64_t band, double *prev, double *curr) {
     const double inf = INFINITY;
     for (int64_t j = 0; j <= m; j++) { prev[j] = inf; curr[j] = inf; }
     prev[0] = 0.0;
@@ -86,7 +78,6 @@ double repro_dtw_one(const double *a, int64_t n, const double *b, int64_t m,
         curr[j_low - 1] = inf;
         double left = inf;
         double prev_diag = prev[j_low - 1];
-        double row_min = inf;
         for (int64_t j = j_low; j <= j_high; j++) {
             double prev_here = prev[j];
             double best = prev_here;
@@ -96,51 +87,29 @@ double repro_dtw_one(const double *a, int64_t n, const double *b, int64_t m,
             if (diff < 0.0) diff = -diff;
             left = diff + best;
             curr[j] = left;
-            if (left < row_min) row_min = left;
             prev_diag = prev_here;
         }
         if (j_high < m) curr[j_high + 1] = inf;
         double *tmp = prev; prev = curr; curr = tmp;
-        if (abandon >= 0.0 && row_min > abandon) return inf;
     }
     return prev[m];
 }
 
-int64_t repro_dtw_pairs(const double *arena, const int64_t *offsets,
-                        const int64_t *lengths, const int64_t *rows,
-                        const int64_t *cols, int64_t npairs, int64_t band,
-                        const double *thresholds, double *out,
-                        double *scratch, int64_t scratch_stride) {
-    int64_t abandoned = 0;
-    double *prev = scratch;
-    double *curr = scratch + scratch_stride;
+void repro_dtw_pairs(const double *arena, const int64_t *offsets,
+                     const int64_t *lengths, const int64_t *rows,
+                     const int64_t *cols, int64_t npairs, int64_t band,
+                     double *out, double *scratch, int64_t scratch_stride) {
     for (int64_t p = 0; p < npairs; p++) {
         int64_t i = rows[p], j = cols[p];
         int64_t n = lengths[i], m = lengths[j];
         int64_t eff = band;
         int64_t diff = n - m; if (diff < 0) diff = -diff;
         if (eff < diff) eff = diff;
-        double t = -1.0;
-        if (thresholds) {
-            t = thresholds[p];
-            if (isinf(t)) t = -1.0;
-        }
-        double d = repro_dtw_one(arena + offsets[i], n, arena + offsets[j], m,
-                                 eff, t, prev, curr);
-        out[p] = d;
-        if (isinf(d)) abandoned++;
+        out[p] = dtw_one(arena + offsets[i], n, arena + offsets[j], m, eff,
+                         scratch, scratch + scratch_stride);
     }
-    return abandoned;
 }
 """
-
-
-def _as_flat_f64(values: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(values, dtype=np.float64)
-
-
-def _as_flat_i64(values: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(values, dtype=np.int64)
 
 
 class CKernel:
@@ -149,45 +118,15 @@ class CKernel:
     name = "c"
 
     def __init__(self, library: ctypes.CDLL):
-        self._one = library.repro_dtw_one
-        self._one.restype = ctypes.c_double
-        self._one.argtypes = [
-            ctypes.POINTER(ctypes.c_double), ctypes.c_int64,
-            ctypes.POINTER(ctypes.c_double), ctypes.c_int64,
-            ctypes.c_int64, ctypes.c_double,
-            ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_double),
-        ]
+        double_p = ctypes.POINTER(ctypes.c_double)
+        int64_p = ctypes.POINTER(ctypes.c_int64)
         self._pairs = library.repro_dtw_pairs
-        self._pairs.restype = ctypes.c_int64
+        self._pairs.restype = None
         self._pairs.argtypes = [
-            ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64),
-            ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_int64),
-            ctypes.POINTER(ctypes.c_int64), ctypes.c_int64, ctypes.c_int64,
-            ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_double),
-            ctypes.POINTER(ctypes.c_double), ctypes.c_int64,
+            double_p, int64_p, int64_p, int64_p, int64_p,
+            ctypes.c_int64, ctypes.c_int64, double_p, double_p, ctypes.c_int64,
         ]
 
-    @staticmethod
-    def _dptr(array: np.ndarray) -> "ctypes.pointer":
-        return array.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
-
-    @staticmethod
-    def _iptr(array: np.ndarray) -> "ctypes.pointer":
-        return array.ctypes.data_as(ctypes.POINTER(ctypes.c_int64))
-
-    def pair(self, a: np.ndarray, b: np.ndarray, band: int, abandon: float | None) -> float:
-        a = _as_flat_f64(a)
-        b = _as_flat_f64(b)
-        scratch = np.empty(2 * (b.size + 1), dtype=np.float64)
-        threshold = -1.0 if abandon is None or np.isinf(abandon) else float(abandon)
-        return float(
-            self._one(
-                self._dptr(a), a.size, self._dptr(b), b.size,
-                int(band), threshold,
-                self._dptr(scratch), self._dptr(scratch[b.size + 1 :]),
-            )
-        )
-
     def pairs(
         self,
         arena: np.ndarray,
@@ -196,134 +135,28 @@ class CKernel:
         rows: np.ndarray,
         cols: np.ndarray,
         band: int,
-        thresholds: np.ndarray | None,
-        out: np.ndarray,
-    ) -> int:
-        arena = _as_flat_f64(arena)
-        offsets = _as_flat_i64(offsets)
-        lengths = _as_flat_i64(lengths)
-        rows = _as_flat_i64(rows)
-        cols = _as_flat_i64(cols)
+    ) -> np.ndarray:
+        """DTW of series ``rows[p]`` against ``cols[p]`` for every ``p``.
+
+        Series ``k`` is ``arena[offsets[k] : offsets[k] + lengths[k]]``;
+        ``band`` is widened per pair to at least the length difference.
+        """
+        arena = np.ascontiguousarray(arena, dtype=np.float64)
+        offsets, lengths, rows, cols = (
+            np.ascontiguousarray(values, dtype=np.int64) for values in (offsets, lengths, rows, cols)
+        )
         stride = int(lengths.max()) + 1
-        scratch = np.empty(2 * stride, dtype=np.float64)
-        thresholds_ptr = None
-        if thresholds is not None:
-            thresholds = _as_flat_f64(thresholds)
-            thresholds_ptr = self._dptr(thresholds)
-        return int(
-            self._pairs(
-                self._dptr(arena), self._iptr(offsets), self._iptr(lengths),
-                self._iptr(rows), self._iptr(cols), rows.size, int(band),
-                thresholds_ptr, self._dptr(out), self._dptr(scratch), stride,
-            )
+        scratch = np.empty(2 * stride)
+        out = np.empty(rows.size)
+        double_p = ctypes.POINTER(ctypes.c_double)
+        int64_p = ctypes.POINTER(ctypes.c_int64)
+        self._pairs(
+            arena.ctypes.data_as(double_p), offsets.ctypes.data_as(int64_p),
+            lengths.ctypes.data_as(int64_p), rows.ctypes.data_as(int64_p),
+            cols.ctypes.data_as(int64_p), rows.size, int(band),
+            out.ctypes.data_as(double_p), scratch.ctypes.data_as(double_p), stride,
         )
-
-
-class NumbaKernel:
-    """Wrapper around the ``@njit``-compiled scalar and chunk kernels."""
-
-    name = "numba"
-
-    def __init__(self, one, many):
-        self._one = one
-        self._many = many
-
-    def pair(self, a: np.ndarray, b: np.ndarray, band: int, abandon: float | None) -> float:
-        threshold = -1.0 if abandon is None or np.isinf(abandon) else float(abandon)
-        return float(self._one(_as_flat_f64(a), _as_flat_f64(b), int(band), threshold))
-
-    def pairs(
-        self,
-        arena: np.ndarray,
-        offsets: np.ndarray,
-        lengths: np.ndarray,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        band: int,
-        thresholds: np.ndarray | None,
-        out: np.ndarray,
-    ) -> int:
-        if thresholds is None:
-            thresholds = np.full(rows.size, -1.0)
-        else:
-            thresholds = np.where(np.isinf(thresholds), -1.0, thresholds)
-        return int(
-            self._many(
-                _as_flat_f64(arena), _as_flat_i64(offsets), _as_flat_i64(lengths),
-                _as_flat_i64(rows), _as_flat_i64(cols), int(band),
-                _as_flat_f64(thresholds), out,
-            )
-        )
-
-
-@functools.lru_cache(maxsize=None)
-def _build_numba_kernel() -> NumbaKernel | None:
-    try:
-        import numba
-    except Exception:  # pragma: no cover - exercised only when numba exists
-        return None
-
-    # fastmath stays off: reassociating the additions would break the
-    # bit-identical contract with the reference kernels.
-    @numba.njit(cache=False, fastmath=False)  # pragma: no cover
-    def _one(a, b, band, abandon):
-        n, m = a.size, b.size
-        inf = np.inf
-        prev = np.full(m + 1, inf)
-        curr = np.full(m + 1, inf)
-        prev[0] = 0.0
-        for i in range(1, n + 1):
-            j_low = max(1, i - band)
-            j_high = min(m, i + band)
-            ai = a[i - 1]
-            curr[j_low - 1] = inf
-            left = inf
-            prev_diag = prev[j_low - 1]
-            row_min = inf
-            for j in range(j_low, j_high + 1):
-                prev_here = prev[j]
-                best = prev_here
-                if prev_diag < best:
-                    best = prev_diag
-                if left < best:
-                    best = left
-                diff = ai - b[j - 1]
-                if diff < 0.0:
-                    diff = -diff
-                left = diff + best
-                curr[j] = left
-                if left < row_min:
-                    row_min = left
-                prev_diag = prev_here
-            if j_high < m:
-                curr[j_high + 1] = inf
-            prev, curr = curr, prev
-            if abandon >= 0.0 and row_min > abandon:
-                return inf
-        return prev[m]
-
-    @numba.njit(cache=False, fastmath=False)  # pragma: no cover
-    def _many(arena, offsets, lengths, rows, cols, band, thresholds, out):
-        abandoned = 0
-        for p in range(rows.size):
-            i, j = rows[p], cols[p]
-            n, m = lengths[i], lengths[j]
-            eff = max(band, abs(n - m))
-            a = arena[offsets[i] : offsets[i] + n]
-            b = arena[offsets[j] : offsets[j] + m]
-            d = _one(a, b, eff, thresholds[p])
-            out[p] = d
-            if np.isinf(d):
-                abandoned += 1
-        return abandoned
-
-    try:
-        # Warm the JIT so the first real call is not a compile.
-        probe = np.array([0.0, 1.0])
-        _one(probe, probe, 2, -1.0)
-    except Exception:  # pragma: no cover - defensive: broken numba install
-        return None
-    return NumbaKernel(_one, _many)
+        return out
 
 
 def _build_cache_dir() -> Path:
@@ -360,7 +193,7 @@ def _build_c_kernel(verbose_errors: bool = False) -> CKernel | None:
             source_path = cache_dir / f"reprodtw-{digest}.c"
             source_path.write_text(_C_SOURCE)
             # Build into a unique name, then atomically publish: concurrent
-            # processes (e.g. pairwise_dtw workers) race benignly.
+            # processes race benignly.
             staging = cache_dir / f".build-{uuid.uuid4().hex}.so"
             subprocess.run(
                 [compiler, "-O3", "-fPIC", "-shared", "-o", str(staging), str(source_path)],
@@ -383,38 +216,23 @@ def _build_c_kernel(verbose_errors: bool = False) -> CKernel | None:
 
 
 @functools.lru_cache(maxsize=None)
-def _resolve(choice: str):
+def _resolve(choice: str) -> CKernel | None:
     if choice not in KERNEL_CHOICES:
-        raise ConfigError(
-            f"{KERNEL_ENV} must be one of {KERNEL_CHOICES}, got {choice!r}"
-        )
+        raise ConfigError(f"{KERNEL_ENV} must be one of {KERNEL_CHOICES}, got {choice!r}")
     if choice == "numpy":
         return None
-    if choice == "numba":
-        kernel = _build_numba_kernel()
-        if kernel is None:
-            raise ConfigError(
-                f"{KERNEL_ENV}=numba but numba is not importable; "
-                "install the repro[fast] extra or use auto/c/numpy"
-            )
-        return kernel
-    if choice == "c":
-        return _build_c_kernel(verbose_errors=True)
-    # auto: best available, degrade silently.
-    kernel = _build_numba_kernel()
-    if kernel is None:
-        kernel = _build_c_kernel()
-    return kernel
+    # c fails loudly; auto degrades silently to numpy.
+    return _build_c_kernel(verbose_errors=choice == "c")
 
 
-def resolve_kernel(choice: str | None = None):
+def resolve_kernel(choice: str | None = None) -> CKernel | None:
     """The active compiled kernel, or ``None`` for the numpy tier.
 
     ``choice`` overrides the environment selection (one of
     :data:`KERNEL_CHOICES`); with ``None`` the :data:`KERNEL_ENV` variable
     is read on every call (so tests can flip tiers with a
     ``monkeypatch.setenv``).  Resolution per choice is cached, including
-    the one-off C compile and numba JIT warm-up.
+    the one-off C compile.
     """
     if choice is None:
         choice = os.environ.get(KERNEL_ENV, "auto").strip().lower() or "auto"
@@ -422,17 +240,11 @@ def resolve_kernel(choice: str | None = None):
 
 
 def kernel_name(choice: str | None = None) -> str:
-    """Name of the active tier: ``"numba"``, ``"c"`` or ``"numpy"``."""
+    """Name of the active tier: ``"c"`` or ``"numpy"``."""
     kernel = resolve_kernel(choice)
     return kernel.name if kernel is not None else "numpy"
 
 
 def available_kernel_tiers() -> tuple[str, ...]:
     """All tiers usable on this machine (always ends with ``"numpy"``)."""
-    tiers: list[str] = []
-    if _build_numba_kernel() is not None:
-        tiers.append("numba")
-    if _build_c_kernel() is not None:
-        tiers.append("c")
-    tiers.append("numpy")
-    return tuple(tiers)
+    return ("c", "numpy") if _build_c_kernel() is not None else ("numpy",)

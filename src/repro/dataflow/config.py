@@ -2,7 +2,7 @@
 
 Before this layer existed every knob was parsed ad hoc where it was
 consumed: the simulator read ``REPRO_SIM_WORKERS`` / ``REPRO_SIM_QUEUE_DEPTH``
-itself, the DTW cascade read ``REPRO_DTW_KERNEL`` / ``REPRO_DTW_WORKERS``,
+itself, the DTW matrix read ``REPRO_DTW_KERNEL``,
 ``ScaleConfig.from_env`` read ``REPRO_SCALE``, and the CLI duplicated the
 defaults.  :class:`RunConfig` folds them into one frozen, validated object
 with a single documented precedence:
@@ -26,6 +26,7 @@ import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Mapping
 
+from repro.core.dtw_backends import KERNEL_CHOICES
 from repro.errors import ConfigError
 from repro.trace.batch import DEFAULT_BATCH_SIZE
 from repro.workload.scale import ScaleConfig
@@ -37,7 +38,6 @@ _DEFAULT_QUEUE_DEPTH = 8192
 
 _SCALE_NAMES = ("tiny", "small", "medium")
 _ENGINES = ("batch", "record")
-_DTW_KERNELS = ("auto", "numba", "c", "numpy")
 
 _TRUE = frozenset({"1", "true", "yes", "on"})
 _FALSE = frozenset({"0", "false", "no", "off"})
@@ -132,14 +132,7 @@ KNOBS: tuple[Knob, ...] = (
         "REPRO_DTW_KERNEL",
         "auto",
         _str_parse,
-        "DTW kernel tier for trend clustering (auto | numba | c | numpy)",
-    ),
-    Knob(
-        "dtw_workers",
-        "REPRO_DTW_WORKERS",
-        1,
-        _parse_int,
-        "worker processes for the pairwise DTW matrix (bit-identical for any value)",
+        f"DTW kernel tier for trend clustering ({' | '.join(KERNEL_CHOICES)})",
     ),
     Knob(
         "run_clustering",
@@ -187,7 +180,6 @@ class RunConfig:
     sim_workers: int = 1
     sim_queue_depth: int = _DEFAULT_QUEUE_DEPTH
     dtw_kernel: str = "auto"
-    dtw_workers: int = 1
     run_clustering: bool = True
     memory_budget: int | None = None
     spill_dir: str | None = None
@@ -202,9 +194,9 @@ class RunConfig:
                 )
         if self.engine not in _ENGINES:
             raise ConfigError(f"engine must be one of {_ENGINES}, got {self.engine!r}")
-        if self.dtw_kernel not in _DTW_KERNELS:
-            raise ConfigError(f"dtw_kernel must be one of {_DTW_KERNELS}, got {self.dtw_kernel!r}")
-        for name in ("batch_size", "sim_workers", "sim_queue_depth", "dtw_workers"):
+        if self.dtw_kernel not in KERNEL_CHOICES:
+            raise ConfigError(f"dtw_kernel must be one of {KERNEL_CHOICES}, got {self.dtw_kernel!r}")
+        for name in ("batch_size", "sim_workers", "sim_queue_depth"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.core.clustering import classify_trend, cluster_popularity_trends
+from repro.core.clustering import _resample, classify_trend, cluster_popularity_trends
+from repro.core.dtw import pairwise_dtw
+from repro.core.dtw_backends import available_kernel_tiers
 from repro.errors import EmptyDatasetError
 from repro.stats.sampling import make_rng
 from repro.types import ContentCategory, TrendClass
@@ -112,3 +116,32 @@ class TestClusterPipeline:
         a = cluster_popularity_trends(dataset, "V-2", ContentCategory.IMAGE, max_objects=25, n_clusters=4)
         b = cluster_popularity_trends(dataset, "V-2", ContentCategory.IMAGE, max_objects=25, n_clusters=4)
         assert [c.member_indices for c in a.clusters] == [c.member_indices for c in b.clusters]
+
+
+class TestStudyMatrixDigest:
+    """Freeze the Fig. 8-10 DTW matrices bit for bit on every kernel tier.
+
+    The inputs are built exactly as :func:`cluster_popularity_trends` builds
+    them with the study's settings (60 sampled objects, 2-hour bins, a
+    one-day band), and the SHA-256 of the raw float64 matrix is compared to
+    a digest recorded from the original UCR-cascade implementation.  Any
+    change to the DTW kernels or to the matrix assembly that moves a
+    single bit fails here.
+    """
+
+    @pytest.mark.parametrize(
+        ("site", "category", "count", "digest"),
+        [
+            ("V-2", ContentCategory.VIDEO, 51, "640ba7ce23ae9ba7851661d62c98fc9e3a581be0aa11a29d0dcbdc40c96d9681"),
+            ("P-2", ContentCategory.IMAGE, 60, "15397747d7950850b4ce0f9b9ffb1279aaec99b160e5ee468983daca27ab790b"),
+        ],
+    )
+    def test_matrix_digest_on_every_tier(self, dataset, site, category, count, digest):
+        objects = dataset.sample_objects(site, category, limit=60, min_requests=3, seed=0)
+        hours = dataset.duration_hours
+        series = [_resample(stats.hourly_series(hours).normalized().values, 2) for stats in objects]
+        assert len(series) == count
+        for tier in available_kernel_tiers():
+            matrix = pairwise_dtw(series, window=12, kernel=tier)
+            assert matrix.shape == (count, count) and matrix.dtype == np.float64
+            assert hashlib.sha256(matrix.tobytes()).hexdigest() == digest, tier

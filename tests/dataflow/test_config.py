@@ -24,8 +24,7 @@ PRECEDENCE_CASES: dict[str, tuple[str, object, object, object]] = {
     "engine": ("record", "record", "batch", "record"),
     "sim_workers": ("2", 2, 3, 4),
     "sim_queue_depth": ("16", 16, 32, 64),
-    "dtw_kernel": ("numpy", "numpy", "c", "numba"),
-    "dtw_workers": ("2", 2, 3, 4),
+    "dtw_kernel": ("numpy", "numpy", "c", "numpy"),
     "run_clustering": ("no", False, True, False),
     "memory_budget": ("1048576", 1048576, 2097152, 4194304),
     "spill_dir": (" /tmp/spill-Env ", "/tmp/spill-Env", "/tmp/spill-kw", "/tmp/spill-cli"),
@@ -111,7 +110,7 @@ class TestValidation:
             {"batch_size": 0},
             {"sim_workers": -1},
             {"sim_queue_depth": 0},
-            {"dtw_workers": 0},
+            {"dtw_kernel": "numba"},
             {"keep_store": "yes"},
             {"projection": "on"},
             {"run_clustering": 1},
