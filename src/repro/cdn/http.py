@@ -42,6 +42,17 @@ class HttpDecision:
     bytes_served: int
 
 
+# The payload-free intents and decisions are immutable, so one shared
+# instance of each serves every request.
+_FULL = ClientIntent(kind="full")
+_BEACON = ClientIntent(kind="beacon")
+_BAD_RANGE = ClientIntent(kind="range", range_valid=False)
+_FORBIDDEN = HttpDecision(status_code=403, bytes_served=0)
+_NO_CONTENT = HttpDecision(status_code=204, bytes_served=0)
+_NOT_MODIFIED = HttpDecision(status_code=304, bytes_served=0)
+_UNSATISFIABLE = HttpDecision(status_code=416, bytes_served=0)
+
+
 class ClientModel:
     """Samples what kind of HTTP request a client issues for an object.
 
@@ -86,17 +97,18 @@ class ClientModel:
         """
         if cached_version is not None:
             return ClientIntent(kind="conditional", conditional_version=cached_version)
-        if obj.category is ContentCategory.OTHER and rng.random() < self.beacon_prob:
-            return ClientIntent(kind="beacon")
-        if obj.category is ContentCategory.VIDEO and rng.random() < self.video_range_prob:
+        category = obj.category
+        if category is ContentCategory.OTHER and rng.random() < self.beacon_prob:
+            return _BEACON
+        if category is ContentCategory.VIDEO and rng.random() < self.video_range_prob:
             if rng.random() < self.bad_range_prob:
-                return ClientIntent(kind="range", range_valid=False)
+                return _BAD_RANGE
             start = int(rng.integers(0, max(1, obj.size_bytes)))
             # Watch between 5% and 60% of the remaining video.
             remaining = obj.size_bytes - start
             length = max(1, int(remaining * rng.uniform(0.05, 0.6)))
             return ClientIntent(kind="range", range_start=start, range_length=length)
-        return ClientIntent(kind="full")
+        return _FULL
 
 
 def decide_response(
@@ -107,16 +119,17 @@ def decide_response(
 ) -> HttpDecision:
     """Map a client intent + origin state to the final status and bytes."""
     if not allowed:
-        return HttpDecision(status_code=403, bytes_served=0)
-    if intent.kind == "beacon":
-        return HttpDecision(status_code=204, bytes_served=0)
-    if intent.kind == "conditional":
+        return _FORBIDDEN
+    kind = intent.kind
+    if kind == "beacon":
+        return _NO_CONTENT
+    if kind == "conditional":
         if intent.conditional_version == current_version:
-            return HttpDecision(status_code=304, bytes_served=0)
+            return _NOT_MODIFIED
         return HttpDecision(status_code=200, bytes_served=obj.size_bytes)
-    if intent.kind == "range":
+    if kind == "range":
         if not intent.range_valid:
-            return HttpDecision(status_code=416, bytes_served=0)
+            return _UNSATISFIABLE
         length = min(intent.range_length, obj.size_bytes - intent.range_start)
         return HttpDecision(status_code=206, bytes_served=max(0, length))
     return HttpDecision(status_code=200, bytes_served=obj.size_bytes)

@@ -112,10 +112,16 @@ class OriginServer:
         generator = rng if rng is not None else self._rng
         return generator.random() >= self.forbidden_rate
 
-    def fetch(self, obj: ContentObject, size: int, now: float) -> OriginResponse:
-        """Serve ``size`` bytes of ``obj`` to an edge server."""
+    def fetch(self, obj: ContentObject, size: int, now: float, version: int | None = None) -> OriginResponse:
+        """Serve ``size`` bytes of ``obj`` to an edge server.
+
+        ``version`` is ``current_version(obj, now)`` when the caller has
+        already computed it (the edge does, once per request).
+        """
         if not self.is_published(obj, now):
             return OriginResponse(allowed=False, version=0, bytes_fetched=0)
         self.fetches += 1
         self.bytes_served += size
-        return OriginResponse(allowed=True, version=self.current_version(obj, now), bytes_fetched=size)
+        if version is None:
+            version = self.current_version(obj, now)
+        return OriginResponse(allowed=True, version=version, bytes_fetched=size)

@@ -165,6 +165,10 @@ class SlruPolicy(EvictionPolicy):
         return len(self._probation) + len(self._protected)
 
 
+#: GDSF rebuilds its lazy heap once it holds this many entries per live key.
+GDSF_COMPACT_FACTOR = 4
+
+
 class GdsfPolicy(EvictionPolicy):
     """Greedy-Dual-Size-Frequency (Cherkasova): size-aware utility eviction.
 
@@ -172,6 +176,12 @@ class GdsfPolicy(EvictionPolicy):
     priority becomes the new floor ``L``.  Small, frequently used objects
     (thumbnails) survive; huge cold videos go first — the behaviour the
     paper's small/large-object caching discussion wants.
+
+    The heap is lazy: a hit pushes the key's new priority and leaves the
+    old entry behind for :meth:`victim` to skip.  Once stale entries make
+    the heap more than ``GDSF_COMPACT_FACTOR`` times the live key count it is
+    rebuilt from the live priorities, which bounds it without changing the
+    victim — the minimum ``(priority, key)`` over live keys.
     """
 
     name = "gdsf"
@@ -179,25 +189,27 @@ class GdsfPolicy(EvictionPolicy):
     def __init__(self) -> None:
         self._priority: dict[str, float] = {}
         self._frequency: dict[str, int] = {}
+        #: Size divisor of the priority: ``max(1, size)``.
         self._size: dict[str, int] = {}
         self._floor = 0.0
         self._heap: list[tuple[float, str]] = []
 
-    def _score(self, key: str) -> float:
-        return self._floor + self._frequency[key] / max(1, self._size[key])
-
-    def _push(self, key: str) -> None:
-        self._priority[key] = self._score(key)
-        heapq.heappush(self._heap, (self._priority[key], key))
-
     def on_insert(self, key: str, size: int, now: float) -> None:
-        self._frequency[key] = 1
-        self._size[key] = size
-        self._push(key)
+        # A new key scores as its first hit: frequency 1.
+        self._frequency[key] = 0
+        self._size[key] = max(1, size)
+        self.on_hit(key, now)
 
     def on_hit(self, key: str, now: float) -> None:
-        self._frequency[key] += 1
-        self._push(key)
+        frequency = self._frequency[key] + 1
+        self._frequency[key] = frequency
+        priority = self._floor + frequency / self._size[key]
+        self._priority[key] = priority
+        heap = self._heap
+        heapq.heappush(heap, (priority, key))
+        if len(heap) > GDSF_COMPACT_FACTOR * len(self._priority):
+            heap[:] = [(current, live) for live, current in self._priority.items()]
+            heapq.heapify(heap)
 
     def on_evict(self, key: str) -> None:
         priority = self._priority.pop(key, None)

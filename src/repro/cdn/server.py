@@ -97,12 +97,15 @@ class EdgeServer:
         intent: ClientIntent,
         now: float,
         cacheable: bool = True,
+        version: int | None = None,
     ) -> EdgeResult:
         """Serve the byte span ``intent`` addresses, updating the cache.
 
         ``cacheable=False`` (per-publisher configuration; the paper notes
         CDNs customise cache configuration per publisher, and S-1 has the
         smallest cached share) serves through the edge without storing.
+        ``version`` is the origin's current version of ``obj`` at ``now``
+        when the caller already knows it; otherwise it is looked up.
         """
         if intent.kind == "range" and intent.range_valid:
             start, length = intent.range_start, intent.range_length
@@ -115,19 +118,24 @@ class EdgeServer:
         bytes_from_cache = 0
         bytes_from_origin = 0
         ttl = self._ttl_for(obj)
-        version = self.origin.current_version(obj, now)
+        origin = self.origin
+        if version is None:
+            version = origin.current_version(obj, now)
+        small_cache, large_cache = self.small_cache, self.large_cache
+        small_limit = self.chunker.chunk_bytes // 2
         for chunk in chunks:
-            cache = self.cache_for(chunk.size)
+            size = chunk.size
+            cache = small_cache if size <= small_limit else large_cache
             entry = cache.lookup(chunk.key, now, revalidate_version=version)
             if entry is not None:
                 hits += 1
-                bytes_from_cache += chunk.size
+                bytes_from_cache += size
                 continue
-            self.origin.fetch(obj, chunk.size, now)
-            cache.stats.bytes_fetched_from_origin += chunk.size
-            bytes_from_origin += chunk.size
+            origin.fetch(obj, size, now, version=version)
+            cache.stats.bytes_fetched_from_origin += size
+            bytes_from_origin += size
             if cacheable:
-                cache.insert(chunk.key, chunk.size, now, ttl=ttl, version=version)
+                cache.insert(chunk.key, size, now, ttl=ttl, version=version)
         status = CacheStatus.HIT if hits == len(chunks) else CacheStatus.MISS
         return EdgeResult(
             cache_status=status,

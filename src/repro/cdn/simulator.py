@@ -64,7 +64,7 @@ from repro.cdn.proxy import IspProxyLayer, ProxyConfig
 from repro.cdn.replication import PushReplicator, PushStats
 from repro.cdn.routing import Router
 from repro.cdn.server import EdgeServer
-from repro.stats.sampling import counter_rng
+from repro.stats.sampling import CounterStream, counter_rng
 from repro.trace.anonymize import Anonymizer
 from repro.trace.batch import (
     ALL_COLUMNS,
@@ -317,6 +317,10 @@ class SimulatorShard:
             trend_aware_ttl=config.trend_aware_ttl,
         )
         self.client_model = ClientModel()
+        #: Edge <-> origin round trip added to the first-byte latency of a miss.
+        self.origin_rtt_ms = 2 * latency_ms(dc.continent, config.origin_continent)
+        # ``serve`` draws through one reused stream, reset per request.
+        self.request_stream = CounterStream(config.seed, "request")
         self.anonymizer = Anonymizer(salt=f"repro-{config.seed}")
         self.metrics = SimulationMetrics()
         self.browsers: OrderedDict[str, BrowserCache] = OrderedDict()
@@ -339,10 +343,6 @@ class SimulatorShard:
             return list(self.serve_viewing(request))
         record = self.serve(request)
         return [record] if record is not None else []
-
-    def _request_rng(self, request: Request) -> np.random.Generator:
-        """The request's private random stream — pure function of the id."""
-        return counter_rng(self.config.seed, "request", request.request_id)
 
     def _browser_for(self, request: Request) -> BrowserCache:
         user = request.user
@@ -370,7 +370,8 @@ class SimulatorShard:
         user, obj = request.user, request.obj
         now = request.timestamp
         dc, edge = self.dc, self.edge
-        rng = self._request_rng(request)
+        # The request's private stream — a pure function of its id.
+        rng = self.request_stream.at(request.request_id)
         self._apply_background_churn(now)
         if self.replicator is not None:
             self.replicator.advance(now, (edge,))
@@ -399,12 +400,12 @@ class SimulatorShard:
         bytes_from_origin = 0
         if decision.status_code in (200, 206):
             cacheable = rng.random() < self.cache_priority.get(obj.site, 1.0)
-            result = edge.serve(obj, intent, now, cacheable=cacheable)
+            result = edge.serve(obj, intent, now, cacheable=cacheable, version=current_version)
             cache_status = result.cache_status
             chunk_index = result.first_chunk_index
             bytes_from_origin = result.bytes_from_origin
             if cache_status is CacheStatus.MISS:
-                latency += 2 * latency_ms(dc.continent, self.config.origin_continent)
+                latency += self.origin_rtt_ms
             self._maybe_browser_store(browser, obj, current_version, now)
             if self.proxies is not None:
                 self.proxies.admit(user.continent, obj, now)
@@ -458,7 +459,9 @@ class SimulatorShard:
         """
         user, obj = request.user, request.obj
         dc, edge = self.dc, self.edge
-        rng = self._request_rng(request)
+        # A fresh stream, not ``request_stream``: this generator may be
+        # suspended between segments while other requests are served.
+        rng = counter_rng(self.config.seed, "request", request.request_id)
         self._browser_for(request)
 
         allowed = self.origin.is_published(obj, request.timestamp) and self.origin.check_access(rng)
@@ -481,10 +484,10 @@ class SimulatorShard:
             version = self.origin.current_version(obj, now)
             decision = decide_response(segment.intent, obj, True, version)
             cacheable = rng.random() < self.cache_priority.get(obj.site, 1.0)
-            result = edge.serve(obj, segment.intent, now, cacheable=cacheable)
+            result = edge.serve(obj, segment.intent, now, cacheable=cacheable, version=version)
             latency = 2 * latency_ms(user.continent, dc.continent)
             if result.cache_status is CacheStatus.MISS:
-                latency += 2 * latency_ms(dc.continent, self.config.origin_continent)
+                latency += self.origin_rtt_ms
             self.metrics.record(
                 site=obj.site, category=obj.category, cache_status=result.cache_status,
                 status_code=decision.status_code, bytes_served=decision.bytes_served,

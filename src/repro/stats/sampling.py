@@ -43,11 +43,59 @@ def counter_rng(seed: int, domain: str, index: int) -> np.random.Generator:
     stochastic draw is a pure function of the request — the property that
     makes shard-parallel execution bit-identical to the sequential loop.
     """
-    key = np.array(
-        [(seed * _GOLDEN + zlib.crc32(domain.encode("utf-8"))) & _U64, index & _U64],
-        dtype=np.uint64,
-    )
+    key = np.array([_domain_key(seed, domain), index & _U64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _domain_key(seed: int, domain: str) -> int:
+    """First Philox key word of every stream in ``(seed, domain)``."""
+    return (seed * _GOLDEN + zlib.crc32(domain.encode("utf-8"))) & _U64
+
+
+class CounterStream:
+    """One reused generator that jumps to ``counter_rng(seed, domain, index)``.
+
+    ``at(index)`` resets a single Philox to the state a fresh
+    ``counter_rng(seed, domain, index)`` starts in -- key ``[k0, index]``,
+    zero counter, empty output buffer, no cached 32-bit half -- and returns
+    the generator, so its draws are bit-identical to the fresh stream's
+    while skipping the per-call ``Philox``/``Generator`` construction.
+
+    The returned generator is only valid until the next ``at()``: a caller
+    that keeps a stream across calls (a lazily consumed generator, a
+    schedule extended later) must use :func:`counter_rng` instead.
+    Pickling keeps only ``(seed, domain)``; every ``at()`` resets the whole
+    state, so nothing else is worth shipping.
+    """
+
+    __slots__ = ("seed", "domain", "_key", "_state", "_bit_generator", "_generator")
+
+    def __init__(self, seed: int, domain: str):
+        self.seed = seed
+        self.domain = domain
+        self._key = np.array([_domain_key(seed, domain), 0], dtype=np.uint64)
+        empty = np.zeros(4, dtype=np.uint64)
+        # The setter copies every value out of this dict, so the dict and
+        # its arrays are reused; only ``_key[1]`` changes between calls.
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": empty, "key": self._key},
+            "buffer": empty,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        self._bit_generator = np.random.Philox(key=self._key)
+        self._generator = np.random.Generator(self._bit_generator)
+
+    def at(self, index: int) -> np.random.Generator:
+        """The generator, reset to the start of stream ``index``."""
+        self._key[1] = index & _U64
+        self._bit_generator.state = self._state
+        return self._generator
+
+    def __reduce__(self):
+        return (CounterStream, (self.seed, self.domain))
 
 
 def spawn_rng(rng: np.random.Generator, label: str) -> np.random.Generator:

@@ -23,7 +23,7 @@ HTTP log the analysis pipeline consumes.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -174,7 +174,13 @@ class WorkloadGenerator:
             workloads = self.generate_all()
         merged = heapq.merge(*(w.requests for w in workloads.values()), key=lambda r: r.timestamp)
         for request_id, request in enumerate(merged, start=start_request_id):
-            yield replace(request, request_id=request_id)
+            yield Request(
+                timestamp=request.timestamp,
+                user=request.user,
+                obj=request.obj,
+                is_repeat=request.is_repeat,
+                request_id=request_id,
+            )
 
     def merged_request_batches(
         self,
@@ -232,6 +238,11 @@ class WorkloadGenerator:
         categories = list(profile.request_mix)
         category_probs = np.array([profile.request_mix[c] for c in categories])
         category_probs = category_probs / category_probs.sum()
+        # The cdf ``Generator.choice(p=...)`` builds on every call, built
+        # once: ``cdf.searchsorted(rng.random(), side="right")`` draws the
+        # same index from the same single uniform.
+        category_cdf = np.cumsum(category_probs)
+        category_cdf /= category_cdf[-1]
 
         requests: list[Request] = []
         history: dict[int, list[ContentObject]] = {}
@@ -259,7 +270,7 @@ class WorkloadGenerator:
                 for timestamp in plan.request_times:
                     obj, is_repeat = self._pick_object(
                         profile, selector, user, user_history, favorites, user_index,
-                        float(timestamp), categories, category_probs, rng,
+                        float(timestamp), categories, category_cdf, rng,
                     )
                     if obj is None:
                         continue
@@ -279,10 +290,10 @@ class WorkloadGenerator:
         user_index: int,
         timestamp: float,
         categories: list[ContentCategory],
-        category_probs: np.ndarray,
+        category_cdf: np.ndarray,
         rng: np.random.Generator,
     ) -> tuple[ContentObject | None, bool]:
-        category = categories[int(rng.choice(len(categories), p=category_probs))]
+        category = categories[int(category_cdf.searchsorted(rng.random(), side="right"))]
         addiction_level = profile.addiction_video if category is ContentCategory.VIDEO else profile.addiction_image
         repeat_prob = min(0.85, self.REPEAT_GAIN * user.addiction_propensity * addiction_level)
         if user_history and rng.random() < repeat_prob:

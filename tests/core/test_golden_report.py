@@ -1,7 +1,11 @@
 """Golden-report regression: the full figure battery, frozen to disk.
 
-A small fixed-seed trace lives in ``tests/fixtures/golden_trace.csv``;
-the fig. 1–16 analysis summary it produces
+A small fixed-seed trace lives in ``tests/fixtures/golden_trace.csv``.
+It is an analysis-only fixture: the current simulator no longer writes
+this trace at ``GOLDEN_SEED`` (the serve path has changed since it was
+captured), and it must not be regenerated to make it so -- the
+simulator's own output is frozen by ``tests/cdn/test_serve_digest.py``.
+The fig. 1–16 analysis summary it produces
 (:meth:`~repro.core.report.StudyReport.to_summary_dict`) is frozen in
 ``tests/fixtures/golden_report.json``.  The test regenerates the report
 from the trace and diffs it against the golden copy *field by field*,
@@ -9,12 +13,14 @@ so an unintended analysis change fails with a readable delta (the exact
 paths that moved, golden vs regenerated values) instead of a wall of
 JSON.
 
-To refresh the fixtures after an *intended* change::
+To refresh the fixtures after an *intended* analysis change::
 
     REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/core/test_golden_report.py
 
 (the test then rewrites both files and fails once, reminding you to
-review and commit the diff).
+review and commit the diff).  Regenerating also replaces the trace with
+the current simulator's output, so it is for analysis changes only;
+simulator changes never call for it.
 """
 
 from __future__ import annotations
