@@ -23,17 +23,18 @@ cache, so the simulation state factors into independent *shards*, one per
 counter-based stream keyed on the request (or object) itself rather than
 from one sequential generator, so a request's outcome is independent of
 execution order.  :meth:`CdnSimulator.run_batches` exploits both
-properties: with ``workers > 1`` (or ``REPRO_SIM_WORKERS`` set) the
-request stream is *streamed* through persistent shard workers: the parent
-drains the workload generator incrementally, stamps ids, and feeds
-per-shard bounded dispatch windows (``queue_depth`` requests in flight
-per shard, backpressure otherwise), while an incremental frontier merge
-emits :class:`~repro.trace.batch.RecordBatch` blocks as soon as every
-shard's ``request_id`` frontier has passed the merge head.  Generation
-overlaps simulation, peak resident requests are O(queue_depth × shards)
-instead of O(stream), and the output is still bit-identical to the
-sequential order — with a :class:`SimStats` record proving where the
-time went.
+properties through one streaming dispatcher: the parent drains the
+workload generator incrementally, stamps ids, and feeds per-shard bounded
+dispatch windows (``queue_depth`` requests in flight per shard), while an
+incremental frontier merge emits :class:`~repro.trace.batch.RecordBatch`
+blocks as soon as every shard's ``request_id`` frontier has passed the
+merge head.  With ``workers > 1`` the windows feed persistent worker
+processes, so generation overlaps simulation and peak resident requests
+are O(queue_depth × shards) instead of O(stream); with ``workers == 1``
+an in-process executor serves each chunk as it is dispatched.  Both serve
+a chunk with the same function, the output is bit-identical to
+:meth:`CdnSimulator.run` for any worker count, and a :class:`SimStats`
+record shows where the time went.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ from repro.stats.sampling import CounterStream, counter_rng
 from repro.trace.anonymize import Anonymizer
 from repro.trace.batch import (
     ALL_COLUMNS,
-    BatchBuilder,
     DEFAULT_BATCH_SIZE,
     RecordBatch,
     iter_record_batches,
@@ -77,14 +77,6 @@ from repro.trace.record import LogRecord
 from repro.types import CacheStatus, Continent, ContentCategory
 from repro.workload.generator import Request
 from repro.workload.profiles import SiteProfile
-
-#: Environment variable supplying the default worker count for
-#: :meth:`CdnSimulator.run_batches`.
-WORKERS_ENV = "REPRO_SIM_WORKERS"
-
-#: Environment variable supplying the default per-shard dispatch window
-#: (requests in flight per shard) for :meth:`CdnSimulator.run_batches`.
-QUEUE_DEPTH_ENV = "REPRO_SIM_QUEUE_DEPTH"
 
 #: Default per-shard dispatch window: enough to keep a worker busy while
 #: the parent generates the next block, small enough that peak resident
@@ -212,12 +204,12 @@ class ShardStats:
     queue_depth: int
     #: Log records the shard emitted.
     records: int
-    #: Time spent serving the shard's queue (its own process's clock when
-    #: parallel; accumulated dispatch time when sequential).
+    #: Time spent serving the shard's chunks, summed per chunk (on the
+    #: worker process's clock, or this process's with ``workers == 1``).
     wall_seconds: float
-    #: High-water mark of requests in flight to the shard's worker at any
-    #: one moment (bounded by ``queue_depth`` in the streaming dispatcher;
-    #: 0 on the sequential path, which never queues).
+    #: High-water mark of requests dispatched to the shard but not yet
+    #: acknowledged (bounded by ``queue_depth``; with ``workers == 1`` the
+    #: largest chunk, which is served at dispatch).
     queue_peak: int = 0
 
 
@@ -240,7 +232,7 @@ class SimStats:
     #: simulation.
     generate_seconds: float = 0.0
     #: Fraction of ``generate_seconds`` spent while at least one dispatched
-    #: request was in flight to a worker (0.0 on the sequential path, where
+    #: request was in flight to a worker (0.0 with ``workers == 1``, where
     #: generation and serving strictly alternate).
     overlap_fraction: float = 0.0
     #: High-water mark of requests resident in the dispatcher at once
@@ -340,7 +332,7 @@ class SimulatorShard:
     def process(self, request: Request) -> list[LogRecord]:
         """Serve one request, returning the records it emitted (0..n)."""
         if self.playback is not None and self.playback.is_streamable(request.obj):
-            return list(self.serve_viewing(request))
+            return list(self._serve_viewing(request))
         record = self.serve(request)
         return [record] if record is not None else []
 
@@ -449,7 +441,7 @@ class SimulatorShard:
             chunk_index=chunk_index,
         )
 
-    def serve_viewing(self, request: Request) -> Iterator[LogRecord]:
+    def _serve_viewing(self, request: Request) -> Iterator[LogRecord]:
         """Serve one video viewing as a stream of segment requests.
 
         Only used in playback mode: the viewing is expanded into
@@ -554,6 +546,25 @@ class SimulatorShard:
         browser.put(obj.object_id, obj.size_bytes, version, now)
 
 
+def _serve_chunk(
+    shard: SimulatorShard, chunk: list[Request]
+) -> tuple[list[LogRecord], list[int], float]:
+    """Serve one dispatched chunk on ``shard``: the one serving loop.
+
+    Both executors call it.  Returns the emitted records in order, the
+    ``request_id`` of each, and the seconds spent (busy time is taken per
+    chunk, not per request).
+    """
+    start = time.perf_counter()
+    records: list[LogRecord] = []
+    rids: list[int] = []
+    for request in chunk:
+        for record in shard.process(request):
+            records.append(record)
+            rids.append(request.request_id)
+    return records, rids, time.perf_counter() - start
+
+
 def _serve_shard_queue(
     worker_id: int,
     shards: dict[tuple[str, int], SimulatorShard],
@@ -567,42 +578,143 @@ def _serve_shard_queue(
     serving them in arrival order is exactly the sequential computation —
     or ``None`` to finish.  Each served chunk is acknowledged on
     ``out_queue`` as a column-only :class:`RecordBatch` plus the
-    per-record ``request_id`` array the parent's frontier merge needs; at
-    EOF the worker ships every shard it mutated back whole, so the parent
-    can adopt exactly the state a sequential run would have left.
+    per-record ``request_id`` array the parent's frontier merge needs and
+    the chunk's serving time; at EOF the worker ships every shard it
+    mutated back whole, so the parent can adopt exactly the state a
+    sequential run would have left.
     """
     fail_rid = int(os.environ.get(_FAIL_RID_ENV, "-1") or "-1")
     kill_rid = int(os.environ.get(_KILL_RID_ENV, "-1") or "-1")
-    busy = {key: 0.0 for key in shards}
     touched: set[tuple[str, int]] = set()
     while True:
         message = in_queue.get()
         if message is None:
             break
         key, seq, chunk = message
-        shard = shards[key]
-        start = time.perf_counter()
-        builder = BatchBuilder()
-        rids: list[int] = []
         try:
-            for request in chunk:
-                if request.request_id == kill_rid:
-                    os.kill(os.getpid(), 9)  # injected hard crash (tests)
-                if request.request_id == fail_rid:
-                    raise RuntimeError(f"injected worker failure at request {fail_rid}")
-                for record in shard.process(request):
-                    builder.append(record)
-                    rids.append(request.request_id)
+            if fail_rid >= 0 or kill_rid >= 0:
+                for request in chunk:
+                    if request.request_id == kill_rid:
+                        os.kill(os.getpid(), 9)  # injected hard crash (tests)
+                    if request.request_id == fail_rid:
+                        raise RuntimeError(f"injected worker failure at request {fail_rid}")
+            records, rids, seconds = _serve_chunk(shards[key], chunk)
         except Exception as exc:
             out_queue.put(("error", worker_id, key, f"{type(exc).__name__}: {exc}"))
             return
-        busy[key] += time.perf_counter() - start
         touched.add(key)
-        batch = builder.finish().drop_records() if len(builder) else None
-        out_queue.put(
-            ("result", worker_id, key, seq, batch, np.asarray(rids, dtype=np.int64), len(chunk))
-        )
-    out_queue.put(("done", worker_id, {key: shards[key] for key in touched}, busy))
+        batch = RecordBatch.from_records(records).drop_records() if records else None
+        rid_array = np.asarray(rids, dtype=np.int64)
+        out_queue.put(("result", worker_id, key, seq, batch, rid_array, len(chunk), seconds))
+    out_queue.put(("done", worker_id, {key: shards[key] for key in touched}))
+
+
+class _InlineExecutor:
+    """``workers == 1``: serve each chunk at dispatch, in this process.
+
+    No process is started and no shard is pickled: chunks are served on
+    the simulator's own shards and acknowledged with the plain record
+    list.  Shards are mutated in place, so a serving exception propagates
+    as it is raised and leaves the shards as far as they got — exactly
+    like :meth:`CdnSimulator.run`.
+    """
+
+    def __init__(self, shards: dict[tuple[str, int], SimulatorShard]):
+        self._shards = shards
+        self._messages: deque[tuple] = deque()
+
+    def start(self) -> None:
+        pass
+
+    def submit(self, worker_id: int, key: tuple[str, int], seq: int, chunk: list[Request]) -> None:
+        records, rids, seconds = _serve_chunk(self._shards[key], chunk)
+        self._messages.append(("result", worker_id, key, seq, records, rids, len(chunk), seconds))
+
+    def finish(self) -> None:
+        self._messages.append(("done", 0, {}))
+
+    def get(self, timeout: float | None = None) -> tuple:
+        if not self._messages:
+            raise queue_lib.Empty
+        return self._messages.popleft()
+
+    def dead(self, done: set[int]) -> list[int]:
+        return []
+
+    def close(self) -> None:
+        pass
+
+
+class _ProcessExecutor:
+    """``workers > 1``: persistent worker processes behind message queues.
+
+    Each worker owns a copy of a fixed subset of the shards and runs
+    :func:`_serve_shard_queue`; ``get`` returns its acknowledgements.
+    """
+
+    def __init__(
+        self,
+        shards: dict[tuple[str, int], SimulatorShard],
+        owner: dict[tuple[str, int], int],
+        n_workers: int,
+    ):
+        context = multiprocessing.get_context()
+        self._in_queues = [context.Queue() for _ in range(n_workers)]
+        self._out_queue = context.Queue()
+        self._processes = [
+            context.Process(
+                target=_serve_shard_queue,
+                args=(
+                    worker_id,
+                    {key: shard for key, shard in shards.items() if owner[key] == worker_id},
+                    self._in_queues[worker_id],
+                    self._out_queue,
+                ),
+                daemon=True,
+            )
+            for worker_id in range(n_workers)
+        ]
+        self._finished = False
+
+    def start(self) -> None:
+        for process in self._processes:
+            process.start()
+
+    def submit(self, worker_id: int, key: tuple[str, int], seq: int, chunk: list[Request]) -> None:
+        self._in_queues[worker_id].put((key, seq, chunk))
+
+    def finish(self) -> None:
+        self._finished = True
+        for in_queue in self._in_queues:
+            in_queue.put(None)
+
+    def get(self, timeout: float | None = None) -> tuple:
+        if timeout is None:
+            return self._out_queue.get_nowait()
+        return self._out_queue.get(timeout=timeout)
+
+    def dead(self, done: set[int]) -> list[int]:
+        """Workers that exited without reporting ``done``."""
+        return [
+            worker_id
+            for worker_id, process in enumerate(self._processes)
+            if worker_id not in done and not process.is_alive()
+        ]
+
+    def close(self) -> None:
+        for in_queue in self._in_queues:
+            in_queue.cancel_join_thread()
+            in_queue.close()
+        self._out_queue.cancel_join_thread()
+        self._out_queue.close()
+        for process in self._processes:
+            if process.pid is None:
+                continue  # never started
+            if self._finished:
+                process.join(timeout=5)  # past EOF every worker exits by itself
+            if process.is_alive():
+                process.terminate()
+            process.join(timeout=2)
 
 
 class _ShardChannel:
@@ -684,8 +796,8 @@ class _MergeBlock:
             self.rid_values: list[int] | None = None
             self.nbytes = rids.nbytes + batch.resident_nbytes
         else:
-            # Plain record iterable (property tests, ad-hoc callers):
-            # materialise eagerly; no columnar copy exists to spill.
+            # Plain record iterable (the in-process executor, property
+            # tests): materialise eagerly; no columnar copy exists to spill.
             self.batch = None
             self.records = list(batch)
             self.rid_values = rids.tolist()
@@ -736,7 +848,7 @@ class _FrontierMerger:
             spill=self.spill_blocks,
         )
 
-    def push(self, key: tuple[str, int], rids: np.ndarray, batch: RecordBatch) -> None:
+    def push(self, key: tuple[str, int], rids, batch: "RecordBatch | Iterable") -> None:
         rids = np.ascontiguousarray(rids, dtype=np.int64)
         block = _MergeBlock(rids, batch)
         self._buffers[key].append(block)
@@ -829,27 +941,6 @@ class _FrontierMerger:
                 if block.cursor >= block.rows:
                     buffer.popleft()
                     self._resident_bytes -= block.nbytes
-
-
-class _BatchEmitter:
-    """Re-blocks the merged record stream into ``batch_size`` batches."""
-
-    def __init__(self, batch_size: int):
-        self._builder = BatchBuilder()
-        self._batch_size = batch_size
-
-    def add(self, record: LogRecord) -> RecordBatch | None:
-        self._builder.append(record)
-        if len(self._builder) >= self._batch_size:
-            return self.flush()
-        return None
-
-    def flush(self) -> RecordBatch | None:
-        if not len(self._builder):
-            return None
-        batch = self._builder.finish()
-        self._builder = BatchBuilder()
-        return batch
 
 
 class _TimedIterator:
@@ -1014,47 +1105,43 @@ class CdnSimulator:
         emitted records are identical to :meth:`run`'s.  This is the
         production path into :meth:`repro.core.dataset.TraceDataset.from_batches`.
 
-        ``workers`` above 1 (default: ``REPRO_SIM_WORKERS``, else 1) runs
-        the streaming dispatcher: the request source is drained
-        incrementally and fed to persistent per-shard worker processes
-        through bounded dispatch windows of ``queue_depth`` requests each
-        (default: ``REPRO_SIM_QUEUE_DEPTH``, else ``DEFAULT_QUEUE_DEPTH``),
-        so workload generation overlaps simulation and peak resident
-        requests stay O(queue_depth × shards) instead of the whole stream.
-        An incremental frontier merge re-emits the per-shard record
-        streams in global ``request_id`` order — the output is
-        bit-identical to the sequential path for any worker count, batch
-        size and queue depth, and the merged metrics match exactly.
+        The request source is drained incrementally and dispatched to the
+        shards through bounded windows of ``queue_depth`` requests each
+        (default ``DEFAULT_QUEUE_DEPTH``); an incremental frontier merge
+        re-emits the per-shard record streams in global ``request_id``
+        order.  ``workers`` above 1 serves the windows in persistent
+        worker processes, so workload generation overlaps simulation and
+        peak resident requests stay O(queue_depth × shards) instead of
+        the whole stream; ``workers`` 1 (the default) serves each chunk
+        in-process as it is dispatched.  The output is bit-identical for
+        any worker count, batch size and queue depth, and the merged
+        metrics match exactly.
 
         Exhaustion contract: the returned iterator is lazy.
         :attr:`sim_stats` is reset to ``None`` up front and populated only
         when the iterator is exhausted; abandoning a partially-consumed
         iterator leaves it ``None`` (never a previous run's statistics)
-        and, on the parallel path, tears the worker processes down without
-        adopting any shard state.  If a worker raises or dies the iterator
-        raises :class:`~repro.errors.SimulationError` naming the failing
-        shard, and the simulator's shards are left exactly as before the
-        call, so a retry starts from a consistent state.
+        and, with worker processes, tears them down without adopting any
+        shard state.  If a worker raises or dies the iterator raises
+        :class:`~repro.errors.SimulationError` naming the failing shard,
+        and the simulator's shards are left exactly as before the call,
+        so a retry starts from a consistent state.  With ``workers`` 1
+        the shards are served in place, as by :meth:`run`, and an
+        exception propagates unchanged.
 
         ``spill_pool`` (a :class:`repro.spill.SpillPool`) lets the
-        parallel path's frontier merge evict buffered result blocks to
-        disk past the pool's memory budget and stream them back in
+        frontier merge of a multi-worker run evict buffered result blocks
+        to disk past the pool's memory budget and stream them back in
         frontier order; the output stays bit-identical at any budget.
-        The sequential path buffers nothing, so the pool is unused there.
+        With ``workers`` 1 every chunk is acknowledged at dispatch, the
+        merge holds at most one dispatch block, and the pool is unused.
         """
-        if workers is None:
-            workers = int(os.environ.get(WORKERS_ENV, "1") or 1)
-        workers = max(1, workers)
-        if queue_depth is None:
-            queue_depth = int(os.environ.get(QUEUE_DEPTH_ENV, "0") or 0) or DEFAULT_QUEUE_DEPTH
+        workers = max(1, workers or 1)
+        queue_depth = DEFAULT_QUEUE_DEPTH if queue_depth is None else queue_depth
         if queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
         self.sim_stats = None
-        if workers > 1:
-            return self._run_batches_parallel(
-                requests, batch_size, workers, queue_depth, spill_pool
-            )
-        return self._run_batches_sequential(requests, batch_size)
+        return self._dispatch(requests, batch_size, workers, queue_depth, spill_pool)
 
     def warm(self, catalogs: Iterable) -> int:
         """Pre-fill every edge cache with popular pre-existing objects.
@@ -1139,11 +1226,6 @@ class CdnSimulator:
         request = next(self._identified((request,)))
         return self._shard_of(request.user).serve(request)
 
-    def serve_viewing(self, request: Request) -> Iterator[LogRecord]:
-        """Serve one video viewing as a stream of segment requests."""
-        request = next(self._identified((request,)))
-        return self._shard_of(request.user).serve_viewing(request)
-
     # -- internals -----------------------------------------------------------
 
     def _shard_key(self, user) -> tuple[str, int]:
@@ -1191,91 +1273,46 @@ class CdnSimulator:
         if staging:
             yield list(self._identified(staging))
 
-    def _run_batches_sequential(
-        self, requests: Iterable[Request] | Iterable[list[Request]], batch_size: int
-    ) -> Iterator[RecordBatch]:
-        start = time.perf_counter()
-        source = _TimedIterator(requests)
-        queued = {key: 0 for key in self._shards}
-        emitted = {key: 0 for key in self._shards}
-        busy = {key: 0.0 for key in self._shards}
-        peak_resident = 0
-
-        def stream() -> Iterator[LogRecord]:
-            nonlocal peak_resident
-            for item in source:
-                block = item if isinstance(item, list) else [item]
-                if len(block) > peak_resident:
-                    peak_resident = len(block)
-                for request in self._identified(block):
-                    key = self._shard_key(request.user)
-                    tick = time.perf_counter()
-                    records = self._shards[key].process(request)
-                    busy[key] += time.perf_counter() - tick
-                    queued[key] += 1
-                    emitted[key] += len(records)
-                    yield from records
-
-        yield from iter_record_batches(stream(), batch_size=batch_size)
-        self.sim_stats = self._build_stats(
-            workers=1,
-            wall_seconds=time.perf_counter() - start,
-            queued=queued,
-            emitted=emitted,
-            busy=busy,
-            generate_seconds=source.seconds,
-            overlap_fraction=0.0,
-            peak_resident_requests=peak_resident,
-        )
-
-    def _run_batches_parallel(
+    def _dispatch(
         self,
         requests: Iterable[Request] | Iterable[list[Request]],
         batch_size: int,
         workers: int,
         queue_depth: int,
-        spill_pool=None,
+        spill_pool,
     ) -> Iterator[RecordBatch]:
-        """Streaming producer/consumer dispatch over persistent shard workers.
+        """Streaming producer/consumer dispatch over the shards.
 
         The parent drains the request source block by block, partitions
         each block by shard, and dispatches chunks of at most
         ``queue_depth`` requests into each shard's bounded window —
-        blocking (and meanwhile draining worker results) when a window is
-        full.  Worker acknowledgements advance the per-shard frontiers;
-        the frontier merge emits every record whose id all shards have
-        passed, re-blocked into ``batch_size`` batches.  Mutated shards
-        are adopted back only after every worker finished cleanly, so a
-        failure leaves the simulator exactly as before the call.
+        blocking (and meanwhile draining acknowledgements) when a window
+        is full.  Acknowledgements advance the per-shard frontiers; the
+        frontier merge emits every record whose id all shards have
+        passed, re-blocked into ``batch_size`` batches.  Shards mutated
+        by worker processes are adopted back only after every worker
+        finished cleanly, so a failure leaves the simulator exactly as
+        before the call.
         """
         start = time.perf_counter()
         keys = list(self._shards)
         n_workers = min(workers, len(keys))
-        context = multiprocessing.get_context()
-        in_queues = [context.Queue() for _ in range(n_workers)]
-        out_queue = context.Queue()
-        channels = {key: _ShardChannel(key, index % n_workers) for index, key in enumerate(keys)}
-        processes = []
-        for worker_id in range(n_workers):
-            owned = {key: self._shards[key] for key in keys if channels[key].worker_id == worker_id}
-            processes.append(
-                context.Process(
-                    target=_serve_shard_queue,
-                    args=(worker_id, owned, in_queues[worker_id], out_queue),
-                    daemon=True,
-                )
-            )
-
+        owner = {key: index % n_workers for index, key in enumerate(keys)}
+        if workers == 1:
+            executor = _InlineExecutor(self._shards)
+        else:
+            executor = _ProcessExecutor(self._shards, owner, n_workers)
+        channels = {key: _ShardChannel(key, owner[key]) for key in keys}
         merger = _FrontierMerger(keys)
-        if spill_pool is not None:
+        if spill_pool is not None and workers > 1:
             merger.attach_spill(spill_pool)
-        emitter = _BatchEmitter(batch_size)
         total_inflight = 0
         produced_through = -1
         peak_resident = 0
         done_workers: set[int] = set()
         adopted: dict[tuple[str, int], SimulatorShard] = {}
-        worker_busy: dict[tuple[str, int], float] = {key: 0.0 for key in keys}
+        busy: dict[tuple[str, int], float] = {key: 0.0 for key in keys}
+        source = _TimedIterator(requests, busy_probe=lambda: total_inflight > 0)
         # Acked-but-unemittable records are bounded too: when a slow shard
         # holds the frontier back this far, production stalls until it acks.
         buffer_cap = 4 * queue_depth * len(keys)
@@ -1292,18 +1329,18 @@ class CdnSimulator:
             nonlocal total_inflight
             kind = message[0]
             if kind == "result":
-                _, _, key, seq, batch, rids, count = message
+                _, _, key, seq, batch, rids, count, seconds = message
                 channel = channels[key]
                 channel.ack(seq, count)
                 total_inflight -= count
-                if batch is not None:
-                    channel.records += len(batch)
+                busy[key] += seconds
+                if len(rids):
+                    channel.records += len(rids)
                     merger.push(key, rids, batch)
             elif kind == "done":
-                _, worker_id, shards, busy = message
+                _, worker_id, shards = message
                 done_workers.add(worker_id)
                 adopted.update(shards)
-                worker_busy.update(busy)
             else:  # "error"
                 _, worker_id, key, text = message
                 raise SimulationError(
@@ -1313,34 +1350,25 @@ class CdnSimulator:
                 )
 
         def drain(block: bool) -> None:
-            """Handle queued worker messages; when ``block``, wait for one."""
+            """Handle queued acknowledgements; when ``block``, wait for one."""
             handled = False
             while True:
                 try:
-                    if block and not handled:
-                        message = out_queue.get(timeout=0.05)
-                    else:
-                        message = out_queue.get_nowait()
+                    message = executor.get(0.05 if block and not handled else None)
                 except queue_lib.Empty:
                     if not block or handled:
                         return
-                    dead = [
-                        worker_id
-                        for worker_id in range(n_workers)
-                        if worker_id not in done_workers and not processes[worker_id].is_alive()
-                    ]
+                    dead = executor.dead(done_workers)
                     if not dead:
                         continue
                     # A worker died without reporting; give its last
                     # messages one grace period to surface, then fail
                     # without adopting anything.
                     try:
-                        message = out_queue.get(timeout=0.5)
+                        message = executor.get(0.5)
                     except queue_lib.Empty:
                         shard_ids = ", ".join(
-                            self._shards[key].shard_id
-                            for key in keys
-                            if channels[key].worker_id in dead
+                            self._shards[key].shard_id for key in keys if owner[key] in dead
                         )
                         raise SimulationError(
                             f"simulation worker(s) {dead} died serving shard(s) "
@@ -1350,16 +1378,8 @@ class CdnSimulator:
                 handle(message)
                 handled = True
 
-        def emit_ready() -> Iterator[RecordBatch]:
-            for record in merger.emit(bound()):
-                batch = emitter.add(record)
-                if batch is not None:
-                    yield batch
-
-        try:
-            for process in processes:
-                process.start()
-            source = _TimedIterator(requests, busy_probe=lambda: total_inflight > 0)
+        def merged() -> Iterator[LogRecord]:
+            nonlocal total_inflight, produced_through, peak_resident
             for block in self._request_blocks(source):
                 if total_inflight + len(block) > peak_resident:
                     peak_resident = total_inflight + len(block)
@@ -1372,92 +1392,54 @@ class CdnSimulator:
                         piece = part[offset : offset + queue_depth]
                         while channel.inflight + len(piece) > queue_depth:
                             drain(block=True)
-                            yield from emit_ready()
+                            yield from merger.emit(bound())
                         seq = channel.dispatch(piece[0].request_id, len(piece))
                         total_inflight += len(piece)
-                        in_queues[channel.worker_id].put((key, seq, piece))
+                        executor.submit(channel.worker_id, key, seq, piece)
                 # Only now is every id in the block dispatched: an
                 # idle shard's frontier may advance this far, no further
                 # — mid-block it would overstate what the shard has seen.
                 produced_through = block[-1].request_id
                 drain(block=False)
-                yield from emit_ready()
+                yield from merger.emit(bound())
                 while merger.buffered > buffer_cap and total_inflight > 0:
                     drain(block=True)
-                    yield from emit_ready()
+                    yield from merger.emit(bound())
             while total_inflight > 0:
                 drain(block=True)
-                yield from emit_ready()
-            for in_queue in in_queues:
-                in_queue.put(None)
+                yield from merger.emit(bound())
+            executor.finish()
             while len(done_workers) < n_workers:
                 drain(block=True)
             # Every worker finished cleanly: adopt the mutated shards, so
             # caches/browsers/metrics match a sequential run exactly.
-            for key, shard in adopted.items():
-                self._shards[key] = shard
-            yield from emit_ready()
-            tail = emitter.flush()
-            if tail is not None:
-                yield tail
-            for process in processes:
-                process.join(timeout=5)
-            self.sim_stats = self._build_stats(
-                workers=n_workers,
-                wall_seconds=time.perf_counter() - start,
-                queued={key: channels[key].dispatched for key in keys},
-                emitted={key: channels[key].records for key in keys},
-                busy=worker_busy,
-                queue_peaks={key: channels[key].queue_peak for key in keys},
-                generate_seconds=source.seconds,
-                overlap_fraction=source.overlap_fraction,
-                peak_resident_requests=peak_resident,
-                spill=None if merger._handle is None else merger._handle.stats,
-            )
-        finally:
-            for in_queue in in_queues:
-                in_queue.cancel_join_thread()
-                in_queue.close()
-            out_queue.cancel_join_thread()
-            out_queue.close()
-            for process in processes:
-                if process.is_alive():
-                    process.terminate()
-            for process in processes:
-                process.join(timeout=2)
+            self._shards.update(adopted)
+            yield from merger.emit(bound())
 
-    def _build_stats(
-        self,
-        workers: int,
-        wall_seconds: float,
-        queued: dict[tuple[str, int], int],
-        emitted: dict[tuple[str, int], int],
-        busy: dict[tuple[str, int], float],
-        queue_peaks: dict[tuple[str, int], int] | None = None,
-        generate_seconds: float = 0.0,
-        overlap_fraction: float = 0.0,
-        peak_resident_requests: int = 0,
-        spill=None,
-    ) -> SimStats:
-        shards = tuple(
-            ShardStats(
-                shard_id=self._shards[key].shard_id,
-                queue_depth=queued[key],
-                records=emitted[key],
-                wall_seconds=busy[key],
-                queue_peak=0 if queue_peaks is None else queue_peaks[key],
-            )
-            for key in self._shards
-        )
-        return SimStats(
-            workers=workers,
-            requests=sum(queued.values()),
-            records=sum(emitted.values()),
-            wall_seconds=wall_seconds,
-            shards=shards,
-            generate_seconds=generate_seconds,
-            overlap_fraction=overlap_fraction,
-            peak_resident_requests=peak_resident_requests,
+        try:
+            executor.start()
+            yield from iter_record_batches(merged(), batch_size=batch_size)
+        finally:
+            executor.close()
+        spill = None if merger._handle is None else merger._handle.stats
+        self.sim_stats = SimStats(
+            workers=n_workers,
+            requests=sum(channel.dispatched for channel in channels.values()),
+            records=sum(channel.records for channel in channels.values()),
+            wall_seconds=time.perf_counter() - start,
+            shards=tuple(
+                ShardStats(
+                    shard_id=self._shards[key].shard_id,
+                    queue_depth=channels[key].dispatched,
+                    records=channels[key].records,
+                    wall_seconds=busy[key],
+                    queue_peak=channels[key].queue_peak,
+                )
+                for key in keys
+            ),
+            generate_seconds=source.seconds,
+            overlap_fraction=source.overlap_fraction,
+            peak_resident_requests=peak_resident,
             spill_files=0 if spill is None else spill.spill_files,
             bytes_spilled=0 if spill is None else spill.bytes_spilled,
             bytes_restored=0 if spill is None else spill.bytes_restored,

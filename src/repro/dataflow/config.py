@@ -12,8 +12,12 @@ with a single documented precedence:
 :meth:`RunConfig.resolve` applies exactly that order; ``None`` means "not
 specified" at every layer, so callers can thread optional arguments
 straight through.  The executor hands the resolved config to every stage —
-no stage parses the environment itself on the plan path (the legacy entry
-points keep their own env fallbacks for backward compatibility).
+no stage parses the environment itself on the plan path, and the
+simulator's worker and queue-depth variables have no other reader
+(``CdnSimulator.run_batches`` takes ``None`` as one worker and the default
+window).  A few library helpers called outside a plan
+(``ScaleConfig.from_env``, the DTW kernel choice, ``TraceDataset``'s
+memory budget) keep their own env fallbacks.
 
 The knob table (:data:`KNOBS`) is the single source of truth: the
 precedence tests iterate it, and the README's configuration table is
@@ -37,7 +41,6 @@ from repro.workload.scale import ScaleConfig
 _DEFAULT_QUEUE_DEPTH = 8192
 
 _SCALE_NAMES = ("tiny", "small", "medium")
-_ENGINES = ("batch", "record")
 
 _TRUE = frozenset({"1", "true", "yes", "on"})
 _FALSE = frozenset({"0", "false", "no", "off"})
@@ -107,13 +110,6 @@ KNOBS: tuple[Knob, ...] = (
         "prune batch columns no declared stage reads at the plan's source (pushdown)",
     ),
     Knob(
-        "engine",
-        "REPRO_ENGINE",
-        "batch",
-        _str_parse,
-        "ingest engine: columnar batches or the record-at-a-time reference",
-    ),
-    Knob(
         "sim_workers",
         "REPRO_SIM_WORKERS",
         1,
@@ -176,7 +172,6 @@ class RunConfig:
     batch_size: int = DEFAULT_BATCH_SIZE
     keep_store: bool = True
     projection: bool = True
-    engine: str = "batch"
     sim_workers: int = 1
     sim_queue_depth: int = _DEFAULT_QUEUE_DEPTH
     dtw_kernel: str = "auto"
@@ -192,8 +187,6 @@ class RunConfig:
                 raise ConfigError(
                     f"scale must be one of {_SCALE_NAMES} or a ScaleConfig, got {self.scale!r}"
                 )
-        if self.engine not in _ENGINES:
-            raise ConfigError(f"engine must be one of {_ENGINES}, got {self.engine!r}")
         if self.dtw_kernel not in KERNEL_CHOICES:
             raise ConfigError(f"dtw_kernel must be one of {KERNEL_CHOICES}, got {self.dtw_kernel!r}")
         for name in ("batch_size", "sim_workers", "sim_queue_depth"):

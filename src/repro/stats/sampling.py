@@ -7,7 +7,7 @@ single integer seed makes a whole synthetic-trace run reproducible.
 from __future__ import annotations
 
 import zlib
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from typing import Generic, TypeVar
 
 import numpy as np
@@ -110,20 +110,6 @@ def spawn_rng(rng: np.random.Generator, label: str) -> np.random.Generator:
     seed_material = rng.integers(0, 2**63 - 1, dtype=np.int64)
     label_hash = zlib.crc32(label.encode("utf-8"))
     return np.random.default_rng(np.random.SeedSequence([int(seed_material), label_hash]))
-
-
-def weighted_choice(rng: np.random.Generator, items: Sequence[T], weights: Sequence[float]) -> T:
-    """Pick one item with probability proportional to its weight."""
-    if len(items) != len(weights):
-        raise ValueError("items and weights must have the same length")
-    if not items:
-        raise ValueError("cannot choose from an empty sequence")
-    probabilities = np.asarray(weights, dtype=float)
-    total = probabilities.sum()
-    if total <= 0:
-        raise ValueError("weights must sum to a positive value")
-    index = rng.choice(len(items), p=probabilities / total)
-    return items[int(index)]
 
 
 class ReservoirSampler(Generic[T]):

@@ -92,99 +92,6 @@ class _Bucket:
         self.next: _Bucket | None = None
 
 
-class P2Quantile:
-    """Streaming quantile estimation via the P² algorithm (Jain & Chlamtac).
-
-    Tracks one quantile of a stream with five markers and O(1) updates —
-    no samples are stored.  The analysis layer uses it to summarise
-    per-request quantities (inter-arrival times, object sizes) on traces
-    too large to materialise.
-    """
-
-    def __init__(self, quantile: float):
-        if not 0.0 < quantile < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {quantile}")
-        self.quantile = quantile
-        self._initial: list[float] = []
-        # Marker heights, positions, and desired positions.
-        self._heights: list[float] = []
-        self._positions: list[float] = []
-        self._desired: list[float] = []
-        self._increments: list[float] = []
-        self.count = 0
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        if len(self._initial) < 5:
-            self._initial.append(value)
-            if len(self._initial) == 5:
-                self._initial.sort()
-                q = self.quantile
-                self._heights = list(self._initial)
-                self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-                self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-                self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-            return
-
-        heights, positions = self._heights, self._positions
-        # Locate the cell containing the observation; adjust extremes.
-        if value < heights[0]:
-            heights[0] = value
-            k = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            k = 3
-        else:
-            k = 0
-            while k < 3 and value >= heights[k + 1]:
-                k += 1
-        for i in range(k + 1, 5):
-            positions[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-
-        # Adjust interior markers with parabolic (fallback linear) moves.
-        for i in (1, 2, 3):
-            delta = self._desired[i] - positions[i]
-            if (delta >= 1.0 and positions[i + 1] - positions[i] > 1.0) or (
-                delta <= -1.0 and positions[i - 1] - positions[i] < -1.0
-            ):
-                direction = 1.0 if delta >= 1.0 else -1.0
-                candidate = self._parabolic(i, direction)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
-                else:
-                    heights[i] = self._linear(i, direction)
-                positions[i] += direction
-
-    def extend(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.add(value)
-
-    def _parabolic(self, i: int, direction: float) -> float:
-        h, p = self._heights, self._positions
-        return h[i] + direction / (p[i + 1] - p[i - 1]) * (
-            (p[i] - p[i - 1] + direction) * (h[i + 1] - h[i]) / (p[i + 1] - p[i])
-            + (p[i + 1] - p[i] - direction) * (h[i] - h[i - 1]) / (p[i] - p[i - 1])
-        )
-
-    def _linear(self, i: int, direction: float) -> float:
-        h, p = self._heights, self._positions
-        j = i + int(direction)
-        return h[i] + direction * (h[j] - h[i]) / (p[j] - p[i])
-
-    @property
-    def value(self) -> float:
-        """Current quantile estimate (exact while under five samples)."""
-        if self.count == 0:
-            raise ValueError("no observations yet")
-        if len(self._initial) < 5:
-            ordered = sorted(self._initial)
-            index = min(len(ordered) - 1, max(0, int(math.ceil(self.quantile * len(ordered))) - 1))
-            return ordered[index]
-        return self._heights[2]
-
-
 class SpaceSavingTopK:
     """Approximate top-k heavy hitters over a key stream.
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.stats.sampling import make_rng
-from repro.types import HOUR_SECONDS, TrendClass
+from repro.types import TrendClass
 
 
 def daily_cycle(peak_local_hour: int, amplitude: float) -> np.ndarray:
@@ -127,14 +127,3 @@ def trend_envelope(
             envelope = envelope + height * np.exp(-0.5 * ((hours - centre) / width) ** 2)
     envelope = np.where(alive, envelope, 0.0)
     return np.clip(envelope, 0.0, None)
-
-
-def sample_request_times_in_hour(
-    hour_index: int,
-    count: int,
-    rng: np.random.Generator | int | None = None,
-) -> np.ndarray:
-    """Uniformly place ``count`` request timestamps inside a trace hour."""
-    generator = make_rng(rng)
-    offsets = generator.uniform(0.0, HOUR_SECONDS, size=count)
-    return hour_index * HOUR_SECONDS + np.sort(offsets)

@@ -2,20 +2,25 @@
 
 The sharded simulator's contract (mirroring
 ``tests/core/test_streaming_equivalence.py`` for the ingest engines):
-``run_batches(workers=N)`` must produce *exactly* the record stream of the
-sequential path — every ``LogRecord`` field, in the same global order —
-for any worker count and batch size, and the merged
+``run_batches(workers=N)`` — one dispatcher, in-process for ``N == 1``
+and over worker processes above — must produce *exactly* the record
+stream of the plain per-request loop ``CdnSimulator.run`` (the
+"sequential" reference) — every ``LogRecord`` field, in the same global
+order — for any worker count and batch size, and the merged
 ``SimulationMetrics`` / ``CacheStats`` / origin / push / proxy counters
 must match the sequential run's exactly.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cdn.simulator import CdnSimulator, SimulationConfig
+from repro.dataflow import Plan, RunConfig
 from repro.stats.sampling import counter_rng
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.profiles import profile_v1, profile_v2
@@ -70,6 +75,49 @@ def _run_batched(
     return simulator, records, batches
 
 
+class _RequestSource:
+    """Plan source streaming a request list in blocks, carrying the
+    profiles and catalogs the simulate stage warms its caches from."""
+
+    name = "requests"
+
+    def __init__(self, profiles, requests, catalogs):
+        self.profiles = profiles
+        self.workloads = {index: SimpleNamespace(catalog=c) for index, c in enumerate(catalogs)}
+        self._requests = requests
+
+    def connect(self, upstream, config):
+        requests = self._requests
+        return (requests[i : i + 512] for i in range(0, len(requests), 512))
+
+
+class _Collect:
+    """Plan tee keeping every simulated batch."""
+
+    name = "collect"
+
+    def __init__(self):
+        self.batches = []
+
+    def connect(self, upstream, config):
+        for batch in upstream:
+            self.batches.append(batch)
+            yield batch
+
+
+def _run_plan(profiles, requests, catalogs, batch_size, **overrides):
+    """Simulate through a :class:`Plan` whose :class:`RunConfig` reads the
+    environment (the only reader of the simulator's env knobs)."""
+    collect = _Collect()
+    plan = Plan(RunConfig.resolve(batch_size=batch_size, **overrides))
+    plan.add(_RequestSource(profiles, requests, catalogs), requires=None, produces="requests")
+    plan.simulate(SimulationConfig(seed=SEED + 1, cache_capacity_bytes=2_000_000_000))
+    plan.add(collect, requires="batches", produces="batches")
+    result = plan.run()
+    records = [record for batch in collect.batches for record in batch.iter_records()]
+    return result.simulator, records
+
+
 @pytest.fixture(scope="module")
 def reference(workload):
     """The sequential run every parallel configuration must reproduce."""
@@ -99,14 +147,10 @@ class TestBitIdentity:
         assert [r.timestamp for r in records] == sorted(r.timestamp for r in records)
 
     def test_workers_env_variable(self, workload, reference, monkeypatch):
-        from repro.cdn import simulator as sim_module
-
-        monkeypatch.setenv(sim_module.WORKERS_ENV, "2")
+        monkeypatch.setenv("REPRO_SIM_WORKERS", "2")
         profiles, requests, catalogs = workload
         _, expected = reference
-        simulator, records, _ = _run_batched(
-            profiles, requests, catalogs, workers=None, batch_size=256
-        )
+        simulator, records = _run_plan(profiles, requests, catalogs, batch_size=256)
         assert records == expected
         assert simulator.sim_stats is not None and simulator.sim_stats.workers == 2
 
@@ -151,13 +195,14 @@ class TestMergedMetrics:
             par_proxies.total_lookups,
         )
 
-    def test_playback_mode_matches(self, workload):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_playback_mode_matches(self, workload, workers):
         profiles, requests, catalogs = workload
         seq_sim, seq_records = _run_sequential(
             profiles, requests[:800], catalogs, playback_mode=True
         )
         par_sim, par_records, _ = _run_batched(
-            profiles, requests[:800], catalogs, workers=2, batch_size=64, playback_mode=True
+            profiles, requests[:800], catalogs, workers=workers, batch_size=64, playback_mode=True
         )
         assert par_records == seq_records
         assert par_sim.metrics == seq_sim.metrics
@@ -275,7 +320,7 @@ class TestCounterRng:
 class TestStreamingDispatch:
     """The producer/consumer dispatcher: bounded windows, identical output."""
 
-    @pytest.mark.parametrize("workers", [2, 5])
+    @pytest.mark.parametrize("workers", [1, 2, 5])
     @pytest.mark.parametrize("queue_depth", [1, 17, 100_000])
     def test_queue_depth_grid_bit_identical(self, workload, workers, queue_depth):
         profiles, requests, catalogs = workload
@@ -319,14 +364,32 @@ class TestStreamingDispatch:
         assert stats.peak_resident_requests < big.sim_stats.peak_resident_requests
 
     def test_queue_depth_env_variable(self, workload, monkeypatch):
-        from repro.cdn import simulator as sim_module
-
-        monkeypatch.setenv(sim_module.QUEUE_DEPTH_ENV, "41")
+        monkeypatch.setenv("REPRO_SIM_QUEUE_DEPTH", "41")
         profiles, requests, catalogs = workload
-        simulator, _, _ = _run_batched(
-            profiles, requests[:600], catalogs, workers=2, batch_size=128
-        )
+        simulator, _ = _run_plan(profiles, requests[:600], catalogs, batch_size=128, sim_workers=2)
         assert all(shard.queue_peak <= 41 for shard in simulator.sim_stats.shards)
+
+    def test_single_worker_serves_in_process(self, workload, reference, monkeypatch):
+        """``workers=1`` serves every chunk in this process and still
+        times each shard's chunks."""
+        import multiprocessing.process
+
+        def refuse(process):
+            raise AssertionError("run_batches started a process")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        profiles, requests, catalogs = workload
+        _, expected = reference
+        simulator, records, _ = _run_batched(
+            profiles, requests, catalogs, workers=1, batch_size=256
+        )
+        assert records == expected
+        served = [shard for shard in simulator.sim_stats.shards if shard.queue_depth > 0]
+        assert served
+        assert all(shard.wall_seconds > 0 for shard in served)
+        # The patch does catch a process start.
+        with pytest.raises(AssertionError, match="run_batches started a process"):
+            _run_batched(profiles, requests[:100], catalogs, workers=2, batch_size=256)
 
     def test_queue_depth_validated(self, workload):
         profiles, requests, catalogs = workload

@@ -21,7 +21,6 @@ PRECEDENCE_CASES: dict[str, tuple[str, object, object, object]] = {
     "batch_size": ("1024", 1024, 2048, 4096),
     "keep_store": ("false", False, True, False),
     "projection": ("off", False, True, False),
-    "engine": ("record", "record", "batch", "record"),
     "sim_workers": ("2", 2, 3, 4),
     "sim_queue_depth": ("16", 16, 32, 64),
     "dtw_kernel": ("numpy", "numpy", "c", "numpy"),
@@ -105,7 +104,6 @@ class TestValidation:
         "overrides",
         [
             {"scale": "huge"},
-            {"engine": "rows"},
             {"dtw_kernel": "fortran"},
             {"batch_size": 0},
             {"sim_workers": -1},

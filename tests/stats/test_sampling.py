@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.stats.sampling import ReservoirSampler, make_rng, spawn_rng, weighted_choice
+from repro.stats.sampling import ReservoirSampler, make_rng, spawn_rng
 
 
 class TestMakeRng:
@@ -32,31 +32,6 @@ class TestSpawnRng:
         parent2 = make_rng(1)
         child_b = spawn_rng(parent2, "b")
         assert child_a.random() != child_b.random()
-
-
-class TestWeightedChoice:
-    def test_degenerate_weight_always_picked(self):
-        rng = make_rng(0)
-        for _ in range(20):
-            assert weighted_choice(rng, ["a", "b"], [1.0, 0.0]) == "a"
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_choice(make_rng(0), ["a"], [1.0, 2.0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_choice(make_rng(0), [], [])
-
-    def test_zero_weights_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_choice(make_rng(0), ["a"], [0.0])
-
-    def test_roughly_proportional(self):
-        rng = make_rng(3)
-        picks = [weighted_choice(rng, ["x", "y"], [3.0, 1.0]) for _ in range(4000)]
-        share = picks.count("x") / len(picks)
-        assert 0.70 < share < 0.80
 
 
 class TestReservoirSampler:

@@ -137,10 +137,6 @@ class TestDataflowCli:
         assert "cols 13->13" in out
         assert "bytes_pruned 0" in out
 
-    def test_analyze_record_engine_requires_trace(self, capsys):
-        assert main(["analyze", "--engine", "record"]) == 2
-        assert "needs --trace" in capsys.readouterr().out
-
     def test_ingest_bench_requires_a_source(self, capsys):
         assert main(["ingest-bench"]) == 2
         assert "--trace" in capsys.readouterr().out

@@ -10,7 +10,6 @@ from repro.stats.sampling import make_rng
 from repro.types import TrendClass
 from repro.workload.temporal import (
     daily_cycle,
-    sample_request_times_in_hour,
     site_hourly_rate,
     trend_envelope,
 )
@@ -105,14 +104,3 @@ class TestTrendEnvelope:
         a = trend_envelope(TrendClass.OUTLIER, 10, 168, make_rng(7))
         b = trend_envelope(TrendClass.OUTLIER, 10, 168, make_rng(7))
         np.testing.assert_array_equal(a, b)
-
-
-class TestSampleRequestTimes:
-    def test_times_within_hour(self):
-        times = sample_request_times_in_hour(5, 100, make_rng(0))
-        assert np.all(times >= 5 * 3600)
-        assert np.all(times < 6 * 3600)
-
-    def test_sorted(self):
-        times = sample_request_times_in_hour(0, 50, make_rng(1))
-        assert np.all(np.diff(times) >= 0)
